@@ -15,12 +15,16 @@
 //! samples — a sample measures the same work every time, which is what
 //! makes the sample vectors comparable at all.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use cuba_benchmarks::fig1;
 use cuba_benchmarks::suite::{table2_problems, table2_suite};
 use cuba_core::{
-    CubaError, CubaOutcome, Portfolio, Property, SchedulePolicy, SessionConfig, SuiteCache, Verdict,
+    fingerprint, CubaError, CubaOutcome, Portfolio, Property, SchedulePolicy, SessionConfig,
+    SuiteCache, Verdict,
 };
 use cuba_explore::{ExploreBudget, SharedExplorer, SnapshotKind};
 use cuba_pds::{Cpds, SharedState, StackSym, VisibleState};
@@ -267,11 +271,49 @@ pub fn run_iteration_seeded(
         .iter()
         .map(|(_, cpds, _)| cache.lookup(cpds).1)
         .collect();
-    let batch: Vec<(Cpds, Property)> = problems
-        .iter()
-        .map(|(_, cpds, property)| (cpds.clone(), property.clone()))
+    // Problems on one system run one after another, in input order,
+    // on one worker: which of them explores a shared layer and which
+    // replays it is then fixed by the input, not by thread timing, so
+    // the explored/replayed split is the same in every sample and at
+    // every worker count. Distinct systems still run `workers` at a
+    // time.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<u64, usize> = HashMap::new();
+    for (index, (_, cpds, _)) in problems.iter().enumerate() {
+        let group = *group_of.entry(fingerprint(cpds)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(index);
+    }
+    let next = AtomicUsize::new(0);
+    let results: Vec<Mutex<Option<Result<CubaOutcome, CubaError>>>> =
+        problems.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1).min(groups.len()) {
+            scope.spawn(|| {
+                while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let batch: Vec<(Cpds, Property)> = group
+                        .iter()
+                        .map(|&i| (problems[i].1.clone(), problems[i].2.clone()))
+                        .collect();
+                    let outcomes = portfolio.run_suite_cached(batch, 1, &cache);
+                    for (&i, outcome) in group.iter().zip(outcomes) {
+                        *results[i].lock().expect("result slot") = Some(outcome);
+                    }
+                }
+            });
+        }
+    });
+    let results = results
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot")
+                .expect("every problem is run")
+        })
         .collect();
-    (portfolio.run_suite_cached(batch, workers, &cache), hits)
+    (results, hits)
 }
 
 /// Restores `seed` into `cache` for the first workload whose system
@@ -285,7 +327,7 @@ fn seed_cache(
     budget: &ExploreBudget,
 ) {
     for (label, cpds, _) in problems {
-        if cuba_core::fingerprint(cpds) != seed.fingerprint {
+        if fingerprint(cpds) != seed.fingerprint {
             continue;
         }
         match SharedExplorer::restore(cpds.clone(), budget.clone(), seed.fingerprint, &seed.bytes) {

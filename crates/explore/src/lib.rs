@@ -61,5 +61,5 @@ pub use layers::LayerStore;
 pub use search::bounded_witness_search;
 pub use shared::{LayerSubscription, LayerView, SharedExplorer};
 pub use snapshot::{SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use symbolic::{SubsumptionMode, SymbolicEngine, SymbolicState};
+pub use symbolic::{ContextSummary, SubsumptionMode, SymbolicEngine, SymbolicState, SymbolicWork};
 pub use witness::{Witness, WitnessStep};

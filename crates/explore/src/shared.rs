@@ -8,12 +8,15 @@
 //! replays them for free. Callers pass their own [`Interrupt`] per
 //! request; a round aborted by one caller's deadline is rolled back
 //! (see [`ExplicitEngine::advance`]) and can be re-driven by anyone
-//! else, so interruption never poisons the shared layers.
+//! else, so interruption never poisons the shared layers. Any other
+//! failure (a budget error) is final for its bound: it depends on the
+//! system and the explorer's budget alone, so it is recorded and
+//! returned to every later demand at that bound or deeper.
 //!
 //! [`ExplicitEngine::advance`]: crate::ExplicitEngine::advance
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::Duration;
 
 use cuba_pds::{Cpds, VisibleState};
@@ -29,8 +32,8 @@ use crate::{
 /// The backend an explorer drives.
 #[derive(Debug)]
 enum BackendImpl {
-    Explicit(ExplicitEngine),
-    Symbolic(SymbolicEngine),
+    Explicit(Box<ExplicitEngine>),
+    Symbolic(Box<SymbolicEngine>),
 }
 
 impl BackendImpl {
@@ -125,6 +128,9 @@ pub struct SharedExplorer {
     /// Pre-collapse layers computed live — the "explored exactly once"
     /// instrumentation counter.
     rounds_explored: AtomicUsize,
+    /// The budget error a round failed with, and the bound of that
+    /// round. Set at most once: no layer past it is ever computed.
+    failure: OnceLock<(usize, ExploreError)>,
     /// Push subscribers; locked strictly *after* `inner` (subscribe
     /// snapshots the store and registers atomically, notification
     /// happens while the computing caller still holds the store).
@@ -136,10 +142,13 @@ impl SharedExplorer {
     pub fn explicit(cpds: Cpds, budget: ExploreBudget) -> Self {
         let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
-            inner: Mutex::new(BackendImpl::Explicit(ExplicitEngine::new(cpds, budget))),
+            inner: Mutex::new(BackendImpl::Explicit(Box::new(ExplicitEngine::new(
+                cpds, budget,
+            )))),
             base_interrupt,
             symbolic: false,
             rounds_explored: AtomicUsize::new(0),
+            failure: OnceLock::new(),
             subscribers: Mutex::new(Vec::new()),
         }
     }
@@ -148,12 +157,13 @@ impl SharedExplorer {
     pub fn symbolic(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
         let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
-            inner: Mutex::new(BackendImpl::Symbolic(SymbolicEngine::new(
+            inner: Mutex::new(BackendImpl::Symbolic(Box::new(SymbolicEngine::new(
                 cpds, budget, mode,
-            ))),
+            )))),
             symbolic: true,
             base_interrupt,
             rounds_explored: AtomicUsize::new(0),
+            failure: OnceLock::new(),
             subscribers: Mutex::new(Vec::new()),
         }
     }
@@ -184,11 +194,18 @@ impl SharedExplorer {
     ///
     /// Budget exhaustion of the explorer's shared budget, or the
     /// caller's own cancellation/deadline. Interrupted rounds are
-    /// rolled back; the layers stay valid and extendable.
+    /// rolled back; the layers stay valid and extendable. A budget
+    /// error is final: every later demand for its bound or deeper gets
+    /// a clone of it without exploring again.
     pub fn ensure_layer(&self, k: usize, interrupt: &Interrupt) -> Result<bool, ExploreError> {
         let mut inner = self.lock();
         if inner.store().current_k() >= k {
             return Ok(false);
+        }
+        if let Some((bound, e)) = self.failure.get() {
+            if k >= *bound {
+                return Err(e.clone());
+            }
         }
         let sat_start = std::time::Instant::now();
         let mut span = trace::span_args(
@@ -200,6 +217,9 @@ impl SharedExplorer {
         while inner.store().current_k() < k {
             let live = !inner.store().is_collapsed();
             if let Err(e) = inner.advance() {
+                if !matches!(e, ExploreError::Cancelled | ExploreError::DeadlineExceeded) {
+                    let _ = self.failure.set((inner.store().current_k() + 1, e.clone()));
+                }
                 result = Err(e);
                 break;
             }
@@ -273,6 +293,15 @@ impl SharedExplorer {
         }
     }
 
+    /// Runs a closure over the symbolic backend (work counters, the
+    /// summary table); `None` for explicit explorers.
+    pub fn with_symbolic<R>(&self, f: impl FnOnce(&SymbolicEngine) -> R) -> Option<R> {
+        match &*self.lock() {
+            BackendImpl::Explicit(_) => None,
+            BackendImpl::Symbolic(e) => Some(f(e)),
+        }
+    }
+
     /// The snapshot backend kind this explorer would record.
     pub fn snapshot_kind(&self) -> SnapshotKind {
         match &*self.lock() {
@@ -330,8 +359,8 @@ impl SharedExplorer {
         let mut span = trace::span_args("snapshot-restore", vec![("bytes", bytes.len().into())]);
         let base_interrupt = budget.interrupt.clone();
         let inner = match snapshot::decode(cpds, budget, fingerprint, bytes)? {
-            DecodedBackend::Explicit(e) => BackendImpl::Explicit(*e),
-            DecodedBackend::Symbolic(e) => BackendImpl::Symbolic(*e),
+            DecodedBackend::Explicit(e) => BackendImpl::Explicit(e),
+            DecodedBackend::Symbolic(e) => BackendImpl::Symbolic(e),
         };
         let symbolic = matches!(inner, BackendImpl::Symbolic(_));
         span.arg("k", inner.store().current_k());
@@ -340,6 +369,7 @@ impl SharedExplorer {
             base_interrupt,
             symbolic,
             rounds_explored: AtomicUsize::new(0),
+            failure: OnceLock::new(),
             subscribers: Mutex::new(Vec::new()),
         })
     }
@@ -438,6 +468,41 @@ mod tests {
         shared_visible.sort_by_key(|v| v.to_string());
         reference_visible.sort_by_key(|v| v.to_string());
         assert_eq!(shared_visible, reference_visible);
+    }
+
+    /// A budget error is final for its bound: asking again, or deeper,
+    /// returns the identical error without exploring anything, while
+    /// shallower bounds still replay.
+    #[test]
+    fn budget_errors_are_sticky() {
+        let budget = ExploreBudget {
+            max_symbolic_states: 4,
+            ..ExploreBudget::default()
+        };
+        let explorer = SharedExplorer::symbolic(fig1(), budget, SubsumptionMode::Exact);
+        let none = Interrupt::none();
+        let (bound, err) = (1..=12)
+            .find_map(|k| explorer.ensure_layer(k, &none).err().map(|e| (k, e)))
+            .expect("fig1 outgrows four symbolic states");
+        assert_eq!(err, ExploreError::SymbolicBudgetExceeded { limit: 4 });
+        let depth = explorer.depth();
+        let rounds = explorer.rounds_explored();
+        let work = explorer
+            .with_symbolic(SymbolicEngine::work)
+            .expect("symbolic");
+        for k in [bound, bound + 1, bound + 5] {
+            assert_eq!(explorer.ensure_layer(k, &none), Err(err.clone()), "k={k}");
+        }
+        assert_eq!(explorer.depth(), depth);
+        assert_eq!(explorer.rounds_explored(), rounds);
+        let again = explorer
+            .with_symbolic(SymbolicEngine::work)
+            .expect("symbolic");
+        assert_eq!(
+            again, work,
+            "no context step, summary miss included, ran again"
+        );
+        assert_eq!(explorer.ensure_layer(depth, &none), Ok(false));
     }
 
     /// A subscriber opened before exploration sees layer 0 (catch-up)

@@ -324,11 +324,12 @@ pub(crate) fn encode_explicit(engine: &ExplicitEngine, fingerprint: u64) -> Vec<
 pub(crate) fn encode_symbolic(engine: &SymbolicEngine, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
     encode_common(&mut w, engine.cpds(), engine.store());
-    let states = engine.states();
-    w.u32(states.len() as u32);
-    for state in states {
-        w.u32(state.q.0);
-        for dfa in &state.stacks {
+    let num_states = engine.num_symbolic_states() as u32;
+    w.u32(num_states);
+    for id in 0..num_states {
+        let (q, stacks) = engine.state_parts(id);
+        w.u32(q.0);
+        for dfa in stacks {
             w.u32(dfa.num_states());
             for &f in dfa.finals() {
                 w.u8(u8::from(f));

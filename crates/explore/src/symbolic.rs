@@ -1,7 +1,8 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cuba_automata::{language_subset, post_star_with, CanonicalDfa, Psa, RuleTable};
 use cuba_pds::{Cpds, GlobalState, SharedState, StackSym, VisibleState};
+use cuba_telemetry::metrics::METRICS;
 
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore};
 
@@ -47,55 +48,14 @@ impl SymbolicState {
         })
     }
 
-    /// Whether `γ(self) ⊆ γ(other)` (pointwise language containment;
-    /// used by the optional subsumption mode).
-    pub fn subsumed_by(&self, other: &SymbolicState) -> bool {
-        self.q == other.q
-            && self.stacks.len() == other.stacks.len()
-            && self
-                .stacks
-                .iter()
-                .zip(&other.stacks)
-                .all(|(a, b)| a == b || language_subset(&a.to_nfa(), &b.to_nfa()))
-    }
-
     /// The visible-state projection `T(τ)` (Eq. 4, computed per thread
     /// by the paper's Alg. 4): the finite set
     /// `{q} × T(A1) × … × T(An)`.
     pub fn visible_states(&self) -> Vec<VisibleState> {
-        let mut per_thread: Vec<Vec<Option<StackSym>>> = Vec::with_capacity(self.stacks.len());
-        for a in &self.stacks {
-            let (firsts, eps) = a.first_symbols();
-            let mut tops: Vec<Option<StackSym>> = Vec::new();
-            if eps {
-                tops.push(None);
-            }
-            tops.extend(firsts.into_iter().map(|s| Some(StackSym(s))));
-            if tops.is_empty() {
-                // Empty stack language: γ(τ) is empty, no visible states.
-                return Vec::new();
-            }
-            per_thread.push(tops);
-        }
+        let tops: Vec<Vec<Option<StackSym>>> = self.stacks.iter().map(top_set).collect();
+        let domains: Vec<&[Option<StackSym>]> = tops.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        let mut tuple: Vec<Option<StackSym>> = vec![None; self.stacks.len()];
-        fn rec(
-            domains: &[Vec<Option<StackSym>>],
-            i: usize,
-            q: SharedState,
-            tuple: &mut Vec<Option<StackSym>>,
-            out: &mut Vec<VisibleState>,
-        ) {
-            if i == domains.len() {
-                out.push(VisibleState::new(q, tuple.clone()));
-                return;
-            }
-            for &choice in &domains[i] {
-                tuple[i] = choice;
-                rec(domains, i + 1, q, tuple, out);
-            }
-        }
-        rec(&per_thread, 0, self.q, &mut tuple, &mut out);
+        for_each_visible(self.q, &domains, &mut |v| out.push(v));
         out
     }
 
@@ -116,6 +76,50 @@ impl std::fmt::Display for SymbolicState {
         }
         write!(f, ">")
     }
+}
+
+/// The top-of-stack set `T(A)` of one stack language (Alg. 4): `None`
+/// first when the empty stack is accepted, then every possible first
+/// symbol in ascending order. Empty exactly when the language is.
+fn top_set(dfa: &CanonicalDfa) -> Vec<Option<StackSym>> {
+    let (firsts, eps) = dfa.first_symbols();
+    let mut tops = Vec::with_capacity(firsts.len() + usize::from(eps));
+    if eps {
+        tops.push(None);
+    }
+    tops.extend(firsts.into_iter().map(|s| Some(StackSym(s))));
+    tops
+}
+
+/// Calls `f` on every visible state of `{q} × domains[0] × … ×
+/// domains[n−1]`, thread 0 varying slowest; on none when some domain
+/// is empty (an empty stack language has no visible states).
+fn for_each_visible(
+    q: SharedState,
+    domains: &[&[Option<StackSym>]],
+    f: &mut impl FnMut(VisibleState),
+) {
+    fn rec(
+        domains: &[&[Option<StackSym>]],
+        i: usize,
+        q: SharedState,
+        tuple: &mut Vec<Option<StackSym>>,
+        f: &mut impl FnMut(VisibleState),
+    ) {
+        if i == domains.len() {
+            f(VisibleState::new(q, tuple.clone()));
+            return;
+        }
+        for &choice in domains[i] {
+            tuple[i] = choice;
+            rec(domains, i + 1, q, tuple, f);
+        }
+    }
+    if domains.iter().any(|d| d.is_empty()) {
+        return;
+    }
+    let mut tuple = vec![None; domains.len()];
+    rec(domains, 0, q, &mut tuple, f);
 }
 
 /// How the symbolic engine deduplicates newly produced symbolic states.
@@ -143,6 +147,93 @@ pub struct SymbolicLayerSummary {
     pub new_visible: usize,
 }
 
+/// Work counters of the symbolic context step. They count what the
+/// exploration did, not how long it took, so they are identical at
+/// every saturation thread count. Failed rounds are counted too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SymbolicWork {
+    /// Context steps taken: one per (frontier state, thread).
+    pub context_steps: u64,
+    /// Context steps answered from the summary table.
+    pub summary_hits: u64,
+    /// Context steps that ran `post*` to fill a summary.
+    pub summary_misses: u64,
+    /// Visible tuples offered to the layer store. Products already
+    /// recorded in full are skipped and not counted.
+    pub visible_tuples: u64,
+}
+
+/// One memoised context step (see [`SymbolicEngine::summaries`]): a
+/// context of `thread` from shared state `q` with stack language
+/// `stack` ends in exactly the `successors`, each a shared state with
+/// the thread's new stack language.
+#[derive(Debug, Clone)]
+pub struct ContextSummary<'a> {
+    /// The thread that runs the context.
+    pub thread: usize,
+    /// The shared state the context starts in.
+    pub q: SharedState,
+    /// The thread's stack language when the context starts.
+    pub stack: &'a CanonicalDfa,
+    /// Every `(q', language)` with a non-empty language, in
+    /// `nonempty_controls()` order.
+    pub successors: Vec<(SharedState, &'a CanonicalDfa)>,
+}
+
+/// Every distinct stack language the engine has produced, stored once
+/// and named by its index, together with its interned top-of-stack
+/// set. Append-only: ids stay valid for the engine's lifetime.
+#[derive(Debug, Default)]
+struct DfaTable {
+    dfas: Vec<CanonicalDfa>,
+    ids: HashMap<CanonicalDfa, u32>,
+    /// Per DFA id, the id of its top-of-stack set.
+    top_of: Vec<u32>,
+    top_sets: Vec<Vec<Option<StackSym>>>,
+    top_ids: HashMap<Vec<Option<StackSym>>, u32>,
+}
+
+impl DfaTable {
+    fn intern(&mut self, dfa: CanonicalDfa) -> u32 {
+        if let Some(&id) = self.ids.get(&dfa) {
+            return id;
+        }
+        let tops = top_set(&dfa);
+        let top = match self.top_ids.get(&tops) {
+            Some(&top) => top,
+            None => {
+                let top = self.top_sets.len() as u32;
+                self.top_ids.insert(tops.clone(), top);
+                self.top_sets.push(tops);
+                top
+            }
+        };
+        let id = self.dfas.len() as u32;
+        self.ids.insert(dfa.clone(), id);
+        self.dfas.push(dfa);
+        self.top_of.push(top);
+        id
+    }
+
+    fn get(&self, id: u32) -> &CanonicalDfa {
+        &self.dfas[id as usize]
+    }
+
+    fn tops(&self, id: u32) -> &[Option<StackSym>] {
+        &self.top_sets[self.top_of[id as usize] as usize]
+    }
+}
+
+/// What a round registered so far: sealed into the store on success,
+/// undone by [`SymbolicEngine::rollback`] on failure.
+#[derive(Debug, Default)]
+struct Round {
+    new_layer: Vec<u32>,
+    new_visible: Vec<VisibleState>,
+    /// Keys this round added to `SymbolicEngine::projected`.
+    projected: Vec<Box<[u32]>>,
+}
+
 /// Symbolic layered exploration of `S0, S1, …` with PSA-based context
 /// steps (the paper's third approach, Alg. 3(T(Sk)), App. E).
 ///
@@ -154,6 +245,11 @@ pub struct SymbolicLayerSummary {
 ///    emit `⟨q'|A1,…,post*|q',…,An⟩` — the other threads' stacks are
 ///    unchanged, merely re-associated with the new shared state.
 ///
+/// Steps 1–2 and the canonicalisation of step 3 depend on `(i, q, Ai)`
+/// only, so each distinct triple is computed once and kept in a
+/// summary table. Stack languages are interned: a stored state is `q`
+/// plus one DFA id per thread, and deduplication compares ids.
+///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
 #[derive(Debug)]
@@ -161,48 +257,53 @@ pub struct SymbolicEngine {
     cpds: Cpds,
     budget: ExploreBudget,
     mode: SubsumptionMode,
-    states: Vec<SymbolicState>,
-    index: HashMap<SymbolicState, u32>,
+    dfas: DfaTable,
+    /// The stored states in discovery order, `1 + n` words each: the
+    /// shared state, then one DFA id per thread.
+    rows: Vec<u32>,
+    /// Row → state id, the deduplication index.
+    index: HashMap<Box<[u32]>, u32>,
     /// Ids grouped by shared state, for pointwise subsumption lookups.
     by_shared: HashMap<SharedState, Vec<u32>>,
     /// The property-independent layer record (shared vocabulary with
     /// the explicit engine; see [`LayerStore`]).
     store: LayerStore,
     /// One CSR rule index per thread-PDS, built once at construction
-    /// and shared by every saturation (previously the equivalent hash
-    /// index was rebuilt on every context step).
+    /// and shared by every saturation.
     tables: Vec<RuleTable>,
+    /// Context-step summaries: `(thread, q, dfa id)` → a range of
+    /// `successors`. A pure function of the key, so it survives
+    /// rolled-back rounds; it is never persisted.
+    summaries: HashMap<(u32, SharedState, u32), (u32, u32)>,
+    successors: Vec<(SharedState, u32)>,
+    /// Products `q, top-set id per thread` whose visible tuples are
+    /// all in the store already, so projecting them again records
+    /// nothing.
+    projected: HashSet<Box<[u32]>>,
+    /// Memoised `L(a) ⊆ L(b)` over DFA ids (pointwise mode).
+    subset: HashMap<(u32, u32), bool>,
+    work: SymbolicWork,
 }
 
 impl SymbolicEngine {
     /// Creates an engine positioned at `S0 = {singleton(initial)}`.
     pub fn new(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
-        let init = SymbolicState::singleton(&cpds.initial_state());
-        let visible = cpds.initial_state().visible();
-        let mut index = HashMap::new();
-        index.insert(init.clone(), 0u32);
-        let mut by_shared: HashMap<SharedState, Vec<u32>> = HashMap::new();
-        by_shared.insert(init.q, vec![0]);
-        let tables = (0..cpds.num_threads())
-            .map(|i| RuleTable::new(cpds.thread(i)))
-            .collect();
-        SymbolicEngine {
-            cpds,
-            budget,
-            mode,
-            states: vec![init],
-            index,
-            by_shared,
-            store: LayerStore::new(visible),
-            tables,
-        }
+        let initial = cpds.initial_state();
+        let store = LayerStore::new(initial.visible());
+        let mut engine = SymbolicEngine::empty(cpds, budget, mode, store);
+        let row = engine.intern_state(SymbolicState::singleton(&initial));
+        engine.push_row(&row);
+        engine
     }
 
     /// Rebuilds an engine from deserialized parts: the symbolic-state
     /// table in discovery order plus an already-validated layer record.
-    /// The lookup index, per-shared-state grouping, and CSR rule
-    /// tables are derived, so a restored engine is indistinguishable
-    /// from one that explored the same layers live.
+    /// The DFA interner, lookup index, per-shared-state grouping and
+    /// CSR rule tables are derived, so a restored engine explores
+    /// exactly like one that computed the same layers live. Context
+    /// summaries, subset results and the projected-product set start
+    /// empty and refill on demand: the snapshot is not trusted to say
+    /// which visible tuples a product has recorded.
     ///
     /// # Errors
     ///
@@ -221,27 +322,73 @@ impl SymbolicEngine {
         if states[0] != SymbolicState::singleton(&cpds.initial_state()) {
             return Err("state 0 is not the initial symbolic state".to_owned());
         }
-        let mut index = HashMap::with_capacity(states.len());
-        let mut by_shared: HashMap<SharedState, Vec<u32>> = HashMap::new();
-        for (id, state) in states.iter().enumerate() {
-            if index.insert(state.clone(), id as u32).is_some() {
+        let mut engine = SymbolicEngine::empty(cpds, budget, mode, store);
+        for state in states {
+            let row = engine.intern_state(state);
+            if engine.index.contains_key(&row[..]) {
                 return Err("duplicate symbolic state in state table".to_owned());
             }
-            by_shared.entry(state.q).or_default().push(id as u32);
+            engine.push_row(&row);
         }
+        Ok(engine)
+    }
+
+    /// An engine with `store` and no states yet.
+    fn empty(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode, store: LayerStore) -> Self {
         let tables = (0..cpds.num_threads())
             .map(|i| RuleTable::new(cpds.thread(i)))
             .collect();
-        Ok(SymbolicEngine {
+        SymbolicEngine {
             cpds,
             budget,
             mode,
-            states,
-            index,
-            by_shared,
+            dfas: DfaTable::default(),
+            rows: Vec::new(),
+            index: HashMap::new(),
+            by_shared: HashMap::new(),
             store,
             tables,
-        })
+            summaries: HashMap::new(),
+            successors: Vec::new(),
+            projected: HashSet::new(),
+            subset: HashMap::new(),
+            work: SymbolicWork::default(),
+        }
+    }
+
+    /// Interns the stack languages of `state` into a row.
+    fn intern_state(&mut self, state: SymbolicState) -> Vec<u32> {
+        let mut row = Vec::with_capacity(1 + state.stacks.len());
+        row.push(state.q.0);
+        for dfa in state.stacks {
+            row.push(self.dfas.intern(dfa));
+        }
+        row
+    }
+
+    /// Appends `row` as the next state id.
+    fn push_row(&mut self, row: &[u32]) {
+        let id = self.num_symbolic_states() as u32;
+        self.rows.extend_from_slice(row);
+        self.index.insert(row.into(), id);
+        self.by_shared
+            .entry(SharedState(row[0]))
+            .or_default()
+            .push(id);
+    }
+
+    /// The row of state `id`.
+    fn row(&self, id: u32) -> &[u32] {
+        let width = 1 + self.cpds.num_threads();
+        &self.rows[id as usize * width..(id as usize + 1) * width]
+    }
+
+    /// The visible product of a row, named by its shared state and
+    /// per-thread top-set ids.
+    fn product_key(&self, row: &[u32]) -> Box<[u32]> {
+        std::iter::once(row[0])
+            .chain(row[1..].iter().map(|&d| self.dfas.top_of[d as usize]))
+            .collect()
     }
 
     /// The subsumption mode the engine deduplicates with.
@@ -249,9 +396,26 @@ impl SymbolicEngine {
         self.mode
     }
 
-    /// The stored symbolic states in discovery order (serialization).
-    pub(crate) fn states(&self) -> &[SymbolicState] {
-        &self.states
+    /// State `id`'s shared state and per-thread stack languages
+    /// (serialization).
+    pub(crate) fn state_parts(
+        &self,
+        id: u32,
+    ) -> (SharedState, impl Iterator<Item = &CanonicalDfa> + '_) {
+        let row = self.row(id);
+        (
+            SharedState(row[0]),
+            row[1..].iter().map(|&d| self.dfas.get(d)),
+        )
+    }
+
+    /// Stored symbolic state `id`, materialized.
+    fn state(&self, id: u32) -> SymbolicState {
+        let (q, stacks) = self.state_parts(id);
+        SymbolicState {
+            q,
+            stacks: stacks.cloned().collect(),
+        }
     }
 
     /// The CPDS being explored.
@@ -274,6 +438,28 @@ impl SymbolicEngine {
         &self.store
     }
 
+    /// The work counters accumulated so far.
+    pub fn work(&self) -> SymbolicWork {
+        self.work
+    }
+
+    /// Every context-step summary computed so far, in no particular
+    /// order — for inspecting the memo table against fresh `post*`
+    /// runs.
+    pub fn summaries(&self) -> impl Iterator<Item = ContextSummary<'_>> + '_ {
+        self.summaries
+            .iter()
+            .map(|(&(thread, q, dfa), &(start, end))| ContextSummary {
+                thread: thread as usize,
+                q,
+                stack: self.dfas.get(dfa),
+                successors: self.successors[start as usize..end as usize]
+                    .iter()
+                    .map(|&(q2, d)| (q2, self.dfas.get(d)))
+                    .collect(),
+            })
+    }
+
     /// Replaces the interrupt wiring of the engine's budget (a
     /// [`SharedExplorer`](crate::SharedExplorer) installs each caller's
     /// interrupt for the duration of its request).
@@ -283,7 +469,7 @@ impl SymbolicEngine {
 
     /// Total number of symbolic states stored.
     pub fn num_symbolic_states(&self) -> usize {
-        self.states.len()
+        self.rows.len() / (1 + self.cpds.num_threads())
     }
 
     /// Symbolic states first produced at context bound `k`.
@@ -291,11 +477,8 @@ impl SymbolicEngine {
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn layer(&self, k: usize) -> impl Iterator<Item = &SymbolicState> + '_ {
-        self.store
-            .layer_ids(k)
-            .iter()
-            .map(|&id| &self.states[id as usize])
+    pub fn layer(&self, k: usize) -> impl Iterator<Item = SymbolicState> + '_ {
+        self.store.layer_ids(k).iter().map(|&id| self.state(id))
     }
 
     /// Visible states first seen at context bound `k`
@@ -322,7 +505,7 @@ impl SymbolicEngine {
     /// symbolic state (i.e. is context-bounded reachable at the
     /// current bound). Used in cross-validation tests.
     pub fn covers(&self, state: &GlobalState) -> bool {
-        self.states.iter().any(|s| s.contains(state))
+        (0..self.num_symbolic_states() as u32).any(|id| self.state(id).contains(state))
     }
 
     /// Computes the next layer `Sk+1 \ Sk`.
@@ -337,7 +520,7 @@ impl SymbolicEngine {
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
-                .push_layer(Vec::new(), Vec::new(), self.states.len());
+                .push_layer(Vec::new(), Vec::new(), self.num_symbolic_states());
             return Ok(SymbolicLayerSummary {
                 k,
                 new_symbolic: 0,
@@ -345,9 +528,8 @@ impl SymbolicEngine {
             });
         }
         let frontier: Vec<u32> = self.store.layer_ids(k - 1).to_vec();
-        let round_start = self.states.len() as u32;
-        let mut new_layer: Vec<u32> = Vec::new();
-        let mut new_visible: Vec<VisibleState> = Vec::new();
+        let round_start = self.num_symbolic_states() as u32;
+        let mut round = Round::default();
 
         for &tau_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
@@ -355,15 +537,9 @@ impl SymbolicEngine {
                     .budget
                     .interrupt
                     .check()
-                    .and_then(|()| self.context_post(tau_id, thread))
-                    .and_then(|successors| {
-                        for tau2 in successors {
-                            self.register(tau2, &mut new_layer, &mut new_visible)?;
-                        }
-                        Ok(())
-                    });
+                    .and_then(|()| self.context_step(tau_id, thread, &mut round));
                 if let Err(e) = step {
-                    self.rollback(round_start, &new_visible);
+                    self.rollback(round_start, round);
                     return Err(e);
                 }
             }
@@ -371,39 +547,101 @@ impl SymbolicEngine {
 
         let summary = SymbolicLayerSummary {
             k,
-            new_symbolic: new_layer.len(),
-            new_visible: new_visible.len(),
+            new_symbolic: round.new_layer.len(),
+            new_visible: round.new_visible.len(),
         };
-        self.store
-            .push_layer(new_layer, new_visible, self.states.len());
+        self.store.push_layer(
+            round.new_layer,
+            round.new_visible,
+            self.num_symbolic_states(),
+        );
         Ok(summary)
     }
 
-    /// Removes every symbolic state (ids `round_start..`) and visible
-    /// state registered by a failed round, leaving the engine exactly
-    /// at the previous bound so `advance` may be retried.
-    fn rollback(&mut self, round_start: u32, new_visible: &[VisibleState]) {
-        for state in self.states.drain(round_start as usize..) {
-            self.index.remove(&state);
-            if let Some(ids) = self.by_shared.get_mut(&state.q) {
+    /// Removes every symbolic state (ids `round_start..`), projected
+    /// product and visible state registered by a failed round, leaving
+    /// the engine exactly at the previous bound so `advance` may be
+    /// retried. Interned DFAs and summaries stay: they are pure
+    /// functions of their keys.
+    fn rollback(&mut self, round_start: u32, round: Round) {
+        let width = 1 + self.cpds.num_threads();
+        for row in self
+            .rows
+            .split_off(round_start as usize * width)
+            .chunks(width)
+        {
+            self.index.remove(row);
+            if let Some(ids) = self.by_shared.get_mut(&SharedState(row[0])) {
                 ids.retain(|&id| id < round_start);
             }
         }
-        self.store.rollback_round(new_visible);
+        for key in &round.projected {
+            self.projected.remove(key);
+        }
+        self.store.rollback_round(&round.new_visible);
     }
 
-    /// One full context of `thread` from symbolic state `tau_id`.
+    /// One full context of `thread` from symbolic state `tau_id`: its
+    /// summary, each successor registered in summary order.
+    fn context_step(
+        &mut self,
+        tau_id: u32,
+        thread: usize,
+        round: &mut Round,
+    ) -> Result<(), ExploreError> {
+        let (start, end) = self.summary(tau_id, thread)?;
+        let mut row = self.row(tau_id).to_vec();
+        for i in start..end {
+            let (q2, dfa) = self.successors[i as usize];
+            row[0] = q2.0;
+            row[1 + thread] = dfa;
+            self.register(&row, round)?;
+        }
+        Ok(())
+    }
+
+    /// The summary of `thread`'s context from state `tau_id`, computed
+    /// by [`context_post`](Self::context_post) on the first request.
+    fn summary(&mut self, tau_id: u32, thread: usize) -> Result<(u32, u32), ExploreError> {
+        let row = self.row(tau_id);
+        let key = (thread as u32, SharedState(row[0]), row[1 + thread]);
+        self.work.context_steps += 1;
+        METRICS.context_steps.inc();
+        if let Some(&range) = self.summaries.get(&key) {
+            self.work.summary_hits += 1;
+            METRICS.summary_hits.inc();
+            return Ok(range);
+        }
+        self.work.summary_misses += 1;
+        METRICS.summary_misses.inc();
+        let successors = self.context_post(thread, key.1, self.dfas.get(key.2))?;
+        let start = self.successors.len() as u32;
+        for (q2, dfa) in successors {
+            let id = self.dfas.intern(dfa);
+            self.successors.push((q2, id));
+        }
+        let range = (start, self.successors.len() as u32);
+        self.summaries.insert(key, range);
+        Ok(range)
+    }
+
+    /// One context of `thread` from `⟨q|stack⟩`: every shared state
+    /// `q'` reachable with a non-empty stack language, paired with
+    /// that canonical language.
     ///
     /// The `post*` saturation itself polls the budget's interrupt
     /// every few transition insertions — on every shard when the
     /// sharded backend is active — so even a single pathological
     /// context step cannot overshoot a deadline by more than a poll
     /// interval.
-    fn context_post(&self, tau_id: u32, thread: usize) -> Result<Vec<SymbolicState>, ExploreError> {
-        let tau = &self.states[tau_id as usize];
+    fn context_post(
+        &self,
+        thread: usize,
+        q: SharedState,
+        stack: &CanonicalDfa,
+    ) -> Result<Vec<(SharedState, CanonicalDfa)>, ExploreError> {
         let num_controls = self.cpds.num_shared();
-        let stack_nfa = tau.stacks[thread].to_nfa();
-        let init = match Psa::from_stack_nfa(num_controls, tau.q, &stack_nfa) {
+        let init = match Psa::from_stack_nfa(num_controls, q, &stack.to_nfa()) {
             Ok(p) => p,
             Err(_) => return Ok(Vec::new()),
         };
@@ -416,55 +654,68 @@ impl SymbolicEngine {
             &|| interrupt.check().is_ok(),
         )
         .map_err(|_| interrupt.check().err().unwrap_or(ExploreError::Cancelled))?;
-        let mut out = Vec::new();
-        for q2 in saturated.nonempty_controls() {
-            let lang = saturated.stack_language(q2);
-            let canon = CanonicalDfa::from_nfa(&lang);
-            if canon.is_empty_language() {
-                continue;
-            }
-            let mut stacks = tau.stacks.clone();
-            stacks[thread] = canon;
-            out.push(SymbolicState { q: q2, stacks });
-        }
-        Ok(out)
+        Ok(saturated
+            .nonempty_controls()
+            .into_iter()
+            .map(|q2| (q2, CanonicalDfa::from_nfa(&saturated.stack_language(q2))))
+            .filter(|(_, dfa)| !dfa.is_empty_language())
+            .collect())
     }
 
     /// Stores a successor unless deduplicated/subsumed.
-    fn register(
-        &mut self,
-        tau: SymbolicState,
-        new_layer: &mut Vec<u32>,
-        new_visible: &mut Vec<VisibleState>,
-    ) -> Result<(), ExploreError> {
-        if tau.is_empty() || self.index.contains_key(&tau) {
+    fn register(&mut self, row: &[u32], round: &mut Round) -> Result<(), ExploreError> {
+        let q = SharedState(row[0]);
+        if row[1..]
+            .iter()
+            .any(|&d| self.dfas.get(d).is_empty_language())
+            || self.index.contains_key(row)
+        {
             return Ok(());
         }
         if self.mode == SubsumptionMode::Pointwise {
-            if let Some(ids) = self.by_shared.get(&tau.q) {
-                if ids
-                    .iter()
-                    .any(|&id| tau.subsumed_by(&self.states[id as usize]))
-                {
-                    return Ok(());
-                }
+            // Drop the successor when some stored state with the same
+            // `q` contains it thread by thread: γ(new) ⊆ γ(old).
+            let (rows, dfas, subset) = (&self.rows, &self.dfas, &mut self.subset);
+            let width = row.len();
+            let subsumed = self.by_shared.get(&q).is_some_and(|ids| {
+                ids.iter().any(|&id| {
+                    let old = &rows[id as usize * width + 1..(id as usize + 1) * width];
+                    row[1..].iter().zip(old).all(|(&a, &b)| {
+                        a == b
+                            || *subset.entry((a, b)).or_insert_with(|| {
+                                language_subset(&dfas.get(a).to_nfa(), &dfas.get(b).to_nfa())
+                            })
+                    })
+                })
+            });
+            if subsumed {
+                return Ok(());
             }
         }
-        if self.states.len() >= self.budget.max_symbolic_states {
+        if self.num_symbolic_states() >= self.budget.max_symbolic_states {
             return Err(ExploreError::SymbolicBudgetExceeded {
                 limit: self.budget.max_symbolic_states,
             });
         }
-        let id = self.states.len() as u32;
-        for v in tau.visible_states() {
-            if self.store.record_visible(v.clone()) {
-                new_visible.push(v);
-            }
+        let key = self.product_key(row);
+        if !self.projected.contains(&key) {
+            let domains: Vec<&[Option<StackSym>]> =
+                row[1..].iter().map(|&d| self.dfas.tops(d)).collect();
+            let (store, work) = (&mut self.store, &mut self.work);
+            let new_visible = &mut round.new_visible;
+            let before = work.visible_tuples;
+            for_each_visible(q, &domains, &mut |v| {
+                work.visible_tuples += 1;
+                if store.record_visible(v.clone()) {
+                    new_visible.push(v);
+                }
+            });
+            METRICS.visible_tuples.add(work.visible_tuples - before);
+            self.projected.insert(key.clone());
+            round.projected.push(key);
         }
-        self.index.insert(tau.clone(), id);
-        self.by_shared.entry(tau.q).or_default().push(id);
-        self.states.push(tau);
-        new_layer.push(id);
+        round.new_layer.push(self.num_symbolic_states() as u32);
+        self.push_row(row);
         Ok(())
     }
 

@@ -269,6 +269,14 @@ pub struct Metrics {
     pub waves: Counter,
     /// Work-stealing claims outside a worker's own shard.
     pub steals: Counter,
+    /// Symbolic context steps (one per frontier state and thread).
+    pub context_steps: Counter,
+    /// Symbolic context steps answered from the summary table.
+    pub summary_hits: Counter,
+    /// Symbolic context steps that ran `post*` to fill a summary.
+    pub summary_misses: Counter,
+    /// Visible tuples the symbolic projection offered to a layer store.
+    pub visible_tuples: Counter,
     /// Frontier size (edges) per saturation wave.
     pub frontier_edges: Histogram,
     /// Suite-cache lookups that found the system.
@@ -315,6 +323,10 @@ impl Metrics {
             rounds_replayed: C,
             waves: C,
             steals: C,
+            context_steps: C,
+            summary_hits: C,
+            summary_misses: C,
+            visible_tuples: C,
             frontier_edges: H,
             cache_hits: C,
             cache_misses: C,
@@ -382,7 +394,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 14] = [
+    let counters: [(&str, &Counter, &str); 18] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -402,6 +414,26 @@ pub fn render_prometheus() -> String {
             "cuba_steals_total",
             &m.steals,
             "Work-stealing claims outside a worker's own shard.",
+        ),
+        (
+            "cuba_context_steps_total",
+            &m.context_steps,
+            "Symbolic context steps (one per frontier state and thread).",
+        ),
+        (
+            "cuba_summary_hits_total",
+            &m.summary_hits,
+            "Symbolic context steps answered from the summary table.",
+        ),
+        (
+            "cuba_summary_misses_total",
+            &m.summary_misses,
+            "Symbolic context steps that ran post* to fill a summary.",
+        ),
+        (
+            "cuba_visible_tuples_total",
+            &m.visible_tuples,
+            "Visible tuples the symbolic projection offered to a layer store.",
         ),
         (
             "cuba_cache_hits_total",
@@ -655,6 +687,10 @@ mod tests {
             "cuba_rounds_replayed_total",
             "cuba_waves_total",
             "cuba_steals_total",
+            "cuba_context_steps_total",
+            "cuba_summary_hits_total",
+            "cuba_summary_misses_total",
+            "cuba_visible_tuples_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",
             "cuba_profile_hits_total",

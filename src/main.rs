@@ -1512,6 +1512,26 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
     push_field(&mut out, "steals", &METRICS.steals.get().to_string());
     push_field(
         &mut out,
+        "context_steps",
+        &METRICS.context_steps.get().to_string(),
+    );
+    push_field(
+        &mut out,
+        "summary_hits",
+        &METRICS.summary_hits.get().to_string(),
+    );
+    push_field(
+        &mut out,
+        "summary_misses",
+        &METRICS.summary_misses.get().to_string(),
+    );
+    push_field(
+        &mut out,
+        "visible_tuples",
+        &METRICS.visible_tuples.get().to_string(),
+    );
+    push_field(
+        &mut out,
         "cache_hits",
         &METRICS.cache_hits.get().to_string(),
     );

@@ -14,6 +14,11 @@
 //! nondeterminism these tests must not confuse with saturation-level
 //! divergence. The CI `determinism` job runs the same comparison on the
 //! release binary via `cuba bench --threads N --schedule round-robin`.
+//!
+//! The symbolic context step's work counters (context steps, summary
+//! hits and misses, visible tuples) count work, not time, so they too
+//! must be identical at every thread count — in the library and in the
+//! `--json` telemetry block of the CLI.
 
 use std::collections::BTreeMap;
 
@@ -176,6 +181,109 @@ fn first_seen_maps_are_thread_count_invariant() {
                 "{label}: fingerprint diverged at threads={threads}"
             );
         }
+    }
+}
+
+/// The symbolic engine's work counters after the same exploration are
+/// identical at 1, 2 and 8 saturation threads, including on the
+/// budget-error row.
+#[test]
+fn symbolic_work_counters_are_thread_count_invariant() {
+    let suite = table2_suite();
+    let mut systems: Vec<(String, Cpds, usize)> = vec![("fig1".to_owned(), fig1::build(), 20_000)];
+    for label in ["k-induction/1+1", "proc-2/2+2*", "stefan-1/4", "stefan-1/8"] {
+        let bench = suite
+            .iter()
+            .find(|b| b.label() == label)
+            .unwrap_or_else(|| panic!("suite row {label} missing"));
+        // A smaller cap keeps the out-of-memory row quick; it still
+        // ends in its budget error.
+        let limit = if label == "stefan-1/8" { 2_000 } else { 20_000 };
+        systems.push((label.to_owned(), bench.cpds.clone(), limit));
+    }
+    for (label, cpds, limit) in &systems {
+        let run = |threads: usize| {
+            let budget = ExploreBudget {
+                max_symbolic_states: *limit,
+                ..ExploreBudget::default()
+            }
+            .with_threads(threads);
+            let mut engine = SymbolicEngine::new(cpds.clone(), budget, SubsumptionMode::Exact);
+            let outcome = engine.run_until_collapse(12);
+            (outcome, engine.work())
+        };
+        let baseline = run(1);
+        assert!(baseline.1.context_steps > 0, "{label}: no context steps");
+        assert!(
+            baseline.1.summary_hits > 0 || label == "fig1",
+            "{label}: no summary hits"
+        );
+        for threads in [2, 8] {
+            assert_eq!(
+                run(threads),
+                baseline,
+                "{label}: threads=1 vs threads={threads}"
+            );
+        }
+    }
+}
+
+/// The `--json` telemetry block of one CLI verification carries the
+/// four symbolic work counters, with the same values at `--threads`
+/// 1, 2 and 8.
+#[test]
+fn cli_work_counters_are_thread_count_invariant() {
+    let counters = |threads: &str| -> Vec<u64> {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cuba"))
+            .args([
+                "verify",
+                "samples/fig2.bp",
+                "--engine",
+                "symbolic",
+                "--schedule",
+                "round-robin",
+                "--threads",
+                threads,
+                "--json",
+            ])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "threads={threads}");
+        let json = String::from_utf8_lossy(&out.stdout).into_owned();
+        [
+            "context_steps",
+            "summary_hits",
+            "summary_misses",
+            "visible_tuples",
+        ]
+        .iter()
+        .map(|key| {
+            let tail = json
+                .split_once(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("telemetry lacks {key}: {json}"))
+                .1;
+            let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("numeric counter")
+        })
+        .collect()
+    };
+    let baseline = counters("1");
+    assert!(
+        baseline[0] > 0,
+        "the symbolic backend took no context steps"
+    );
+    assert_eq!(
+        baseline[0],
+        baseline[1] + baseline[2],
+        "steps = hits + misses"
+    );
+    for threads in ["2", "8"] {
+        assert_eq!(
+            counters(threads),
+            baseline,
+            "threads=1 vs threads={threads}"
+        );
     }
 }
 
